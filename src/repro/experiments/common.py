@@ -67,16 +67,8 @@ def tagging_glasses(dataset: StageView) -> list[LookingGlass]:
     ]
 
 
-@functools.lru_cache(maxsize=4)
-def persistence_snapshots(
-    snapshot_count: int = 31, seed: int = 315
-) -> tuple[ASN, tuple[Snapshot, ...], object]:
-    """A memoised persistence timeline on a dedicated small Internet.
-
-    The persistence study (Figs. 6 and 7) re-simulates the Internet once per
-    snapshot, so it runs on a smaller topology than the main dataset.
-    Returns ``(studied provider, snapshots, annotated graph)``.
-    """
+def persistence_timeline(snapshot_count: int = 31, seed: int = 315) -> Timeline:
+    """The persistence timeline on its dedicated small Internet (not yet run)."""
     internet = InternetGenerator(
         GeneratorParameters(
             seed=777, tier1_count=4, tier2_count=8, tier3_count=16, stub_count=90
@@ -84,7 +76,7 @@ def persistence_snapshots(
     ).generate()
     assignment = PolicyGenerator(PolicyParameters(seed=915)).generate(internet)
     provider = max(internet.tier1, key=internet.graph.degree)
-    timeline = Timeline(
+    return Timeline(
         internet,
         assignment,
         observed_ases=[provider],
@@ -96,4 +88,18 @@ def persistence_snapshots(
             seed=seed,
         ),
     )
-    return provider, tuple(timeline.run()), internet.graph
+
+
+@functools.lru_cache(maxsize=4)
+def persistence_snapshots(
+    snapshot_count: int = 31, seed: int = 315
+) -> tuple[ASN, tuple[Snapshot, ...], object]:
+    """A memoised persistence timeline on a dedicated small Internet.
+
+    The persistence study (Figs. 6 and 7) re-simulates the Internet once per
+    snapshot, so it runs on a smaller topology than the main dataset.
+    Returns ``(studied provider, snapshots, annotated graph)``.
+    """
+    timeline = persistence_timeline(snapshot_count, seed)
+    (provider,) = timeline.observed_ases
+    return provider, tuple(timeline.run()), timeline.internet.graph

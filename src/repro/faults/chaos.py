@@ -145,8 +145,9 @@ def run_chaos(
             :data:`DEFAULT_EXPERIMENTS`).
         workers: pool width of the chaos sweep (>= 2 so worker kills
             exercise ``BrokenProcessPool`` recovery).
-        retries: retry budget of the chaos sweep; must exceed the worst
-            case collateral attempts (own kill + in-flight neighbours).
+        retries: retry budget of the chaos sweep; must cover the worst
+            case's own kills (a crash with several cases in flight charges
+            none of them).
         root: scratch directory (default: a fresh temp dir).
         keep: leave the scratch directory behind for inspection.
 

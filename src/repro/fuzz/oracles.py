@@ -1,6 +1,6 @@
 """Differential and metamorphic oracles the fuzz harness checks per sample.
 
-Two *differential* oracles pin the repo's two engine pairs to each other on
+Three *differential* oracles pin the repo's two engine pairs to each other on
 every sampled scenario, extending the fixed golden suites
 (``tests/simulation/test_fastpath_equivalence.py`` and
 ``tests/analysis/test_engine_equivalence.py``) to unbounded scenario
@@ -12,6 +12,9 @@ diversity:
 * ``analysis-differential`` — the one-pass :class:`~repro.analysis.engine.AnalysisEngine`
   returns objects equal to every corresponding legacy :mod:`repro.core`
   analyzer on the same dataset.
+* ``rerun-equivalence`` — incremental re-propagation
+  (:meth:`~repro.simulation.fastpath.engine.FastPropagationEngine.rerun`)
+  equals a full fast run at every step of a short churning timeline.
 
 The *metamorphic / ground-truth* oracles assert the paper's invariants
 against the generator's ground truth, independent of either implementation:
@@ -37,6 +40,8 @@ so one failing invariant never masks another.
 
 from __future__ import annotations
 
+import copy
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -53,6 +58,8 @@ from repro.exceptions import ReproError
 from repro.relationships.gao import GaoInference
 from repro.relationships.sark import RankBasedInference
 from repro.relationships.validation import compare_with_ground_truth
+from repro.simulation.fastpath import FastPropagationEngine
+from repro.simulation.timeline import Timeline, TimelineParameters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import AnalysisEngine
@@ -154,6 +161,83 @@ def check_propagation_equivalence(
     for asn in legacy.observed_ases:
         if fast_tables[asn] != legacy_tables[asn]:
             raise _diverged(oracle, f"observed tables at AS{asn}")
+
+
+# -- differential: incremental rerun vs full fast run ---------------------------------
+
+#: Snapshots of the churning timeline the rerun oracle replays per sample.
+RERUN_SNAPSHOTS = 3
+
+
+def _exact_tables(result: "SimulationResult") -> dict:
+    """Observed tables in trie order, with the position of each best route."""
+    tables = {}
+    for asn in result.observed_ases:
+        rows = []
+        for entry in result.table_of(asn).entries():
+            best = [index for index, route in enumerate(entry.routes) if route is entry.best]
+            rows.append((entry.prefix, tuple(entry.routes), tuple(best)))
+        tables[asn] = rows
+    return tables
+
+
+def check_rerun_equivalence(
+    base: "SimulationResult", seed: int, snapshots: int = RERUN_SNAPSHOTS
+) -> None:
+    """Assert ``rerun`` equals a full fast run along a churning timeline.
+
+    Churns a private copy of ``base``'s assignment with the persistence
+    timeline's own churn step (seeded by ``seed``, with probabilities high
+    enough that small samples change), re-propagates incrementally after
+    every step, and compares against a fresh full run on the same mutated
+    assignment.
+
+    Args:
+        base: a propagation result; its Internet, assignment and observed
+            ASes define the timeline.
+        seed: the churn seed (the fuzz case seed).
+        snapshots: timeline length, the unchurned snapshot included.
+
+    Raises:
+        OracleViolation: when any step's tables (entry order, routes, best
+            identity), message count or truncated prefixes differ.
+    """
+    oracle = "rerun-equivalence"
+    internet = base.internet
+    observed = base.observed_ases
+    assignment = copy.deepcopy(base.assignment)
+    timeline = Timeline(
+        internet,
+        assignment,
+        observed,
+        TimelineParameters(
+            snapshot_count=snapshots,
+            churn_probability=0.5,
+            appear_probability=0.1,
+            disappear_probability=0.1,
+            seed=seed,
+        ),
+    )
+    rng = random.Random(seed)
+    engine = FastPropagationEngine(internet, assignment, observed_ases=observed)
+    result = engine.run()
+    for step in range(1, snapshots):
+        changed = timeline._churn(assignment, rng)
+        result = engine.rerun(result, changed)
+        full = FastPropagationEngine(internet, assignment, observed_ases=observed).run()
+        where = f"snapshot {step} ({len(changed)} changed origins)"
+        if result.message_count != full.message_count:
+            raise OracleViolation(
+                oracle,
+                f"{where}: message counts differ: full {full.message_count}, "
+                f"rerun {result.message_count}",
+            )
+        if result.truncated_prefixes != full.truncated_prefixes:
+            raise OracleViolation(oracle, f"{where}: truncated prefixes differ")
+        rerun_tables = _exact_tables(result)
+        for asn, rows in _exact_tables(full).items():
+            if rerun_tables.get(asn) != rows:
+                raise OracleViolation(oracle, f"{where}: observed table at AS{asn} differs")
 
 
 # -- differential: analysis engine vs legacy analyzers ------------------------------
@@ -568,6 +652,10 @@ ORACLES: tuple[tuple[str, Callable[[FuzzContext], None]], ...] = (
     (
         "propagation-differential",
         lambda ctx: check_propagation_equivalence(ctx.legacy_result, ctx.fast_result),
+    ),
+    (
+        "rerun-equivalence",
+        lambda ctx: check_rerun_equivalence(ctx.fast_result, ctx.seed),
     ),
     (
         "analysis-differential",

@@ -25,8 +25,10 @@ attached to one shared disk tier (``--cache-dir``):
 * **fault tolerance** (see ``docs/robustness.md``) — failed case attempts
   are retried with exponential backoff and deterministic jitter
   (``retries`` attempts); a dead worker process (``BrokenProcessPool``)
-  respawns the executor, costs only the in-flight cases an attempt, and
-  the sweep keeps draining; a case that exhausts its attempts is
+  respawns the executor and the sweep keeps draining — a crash with one
+  case in flight costs that case an attempt, while a crash with several in
+  flight costs none and reruns each of them alone, so an innocent
+  neighbour is never charged; a case that exhausts its attempts is
   *quarantined* (status ``"quarantined"``, recorded in the manifest so a
   resume does not retry poison) instead of aborting the sweep.
   Deterministic configuration errors (:class:`~repro.exceptions.ReproError`)
@@ -719,54 +721,86 @@ def _run_pool(
 
     At most ``workers`` cases are outstanding at any moment, so when the
     pool breaks (a worker died abruptly) the doomed futures are exactly
-    the in-flight cases: each costs one attempt and is rescheduled, the
-    executor is respawned, and the queued remainder is untouched.  A case
-    past its ``case_timeout`` deadline is abandoned (the attempt counts as
-    a failure and is retried); its worker keeps running until the attempt
+    the in-flight cases; the executor is respawned and the queued
+    remainder is untouched.  Who pays for a break must not depend on
+    scheduling: with one case in flight the crash is that case's and costs
+    it an attempt, but with several in flight it cannot be attributed, so
+    none of them is charged.  They become *suspects* and move to the solo
+    lane, which runs one case at a time with nothing else in flight — a
+    crash there is attributable again.  ``attempts`` still counts every
+    execution; only charged attempts lead to quarantine.
+
+    A case past its ``case_timeout`` deadline is abandoned (the attempt is
+    charged and retried); its worker keeps running until the attempt
     finishes, but the scheduler no longer waits for it.
     """
+    order = {spec: index for index, spec in enumerate(pending)}
     queue: deque[str] = deque(pending)
+    solo: deque[str] = deque()
+    suspects: set[str] = set()
+    charged: dict[str, int] = {spec: 0 for spec in pending}
     retry_ready: dict[str, float] = {}
     outstanding: dict = {}
     abandoned = False
     pool = ProcessPoolExecutor(max_workers=workers, initializer=mark_worker)
 
-    def respawn(reason: str) -> None:
+    def lane_of(spec: str) -> deque[str]:
+        return solo if spec in suspects else queue
+
+    def pool_broke(in_flight: list[str]) -> None:
+        """Attribute a broken pool, then respawn the executor."""
         nonlocal pool
-        for spec, _deadline in outstanding.values():
-            _attempt_failed(spec, RuntimeError(reason))
-        outstanding.clear()
+        if len(in_flight) == 1:
+            _attempt_failed(in_flight[0], RuntimeError(_WORKER_DIED))
+        else:
+            for spec in sorted(in_flight, key=order.__getitem__):
+                suspects.add(spec)
+                solo.append(spec)
         pool.shutdown(wait=False, cancel_futures=True)
         pool = ProcessPoolExecutor(max_workers=workers, initializer=mark_worker)
 
     def _attempt_failed(spec: str, error: BaseException) -> None:
-        if attempts[spec] >= max_attempts:
+        charged[spec] += 1
+        if charged[spec] >= max_attempts:
             quarantine(spec, error)
         else:
             retry_ready[spec] = time.monotonic() + _backoff_delay(
-                retry_delay, spec, attempts[spec]
+                retry_delay, spec, charged[spec]
             )
 
     try:
-        while queue or retry_ready or outstanding:
+        while queue or solo or retry_ready or outstanding:
             now = time.monotonic()
             for spec in [s for s, ready in retry_ready.items() if ready <= now]:
                 retry_ready.pop(spec)
-                queue.append(spec)
-            while queue and len(outstanding) < workers:
-                spec = queue.popleft()
+                lane_of(spec).append(spec)
+            # A suspect starts only on an empty window and runs alone.
+            running_alone = any(spec in suspects for spec, _ in outstanding.values())
+            while len(outstanding) < workers and not running_alone:
+                if solo:
+                    if outstanding:
+                        break
+                    spec = solo.popleft()
+                elif queue:
+                    spec = queue.popleft()
+                else:
+                    break
                 attempts[spec] += 1
                 try:
                     future = pool.submit(_run_sweep_case, task_for(spec))
                 except BrokenProcessPool:
                     attempts[spec] -= 1
-                    queue.appendleft(spec)
-                    respawn(_WORKER_DIED)
-                    continue
+                    lane_of(spec).appendleft(spec)
+                    in_flight = [spec for spec, _deadline in outstanding.values()]
+                    outstanding.clear()
+                    pool_broke(in_flight)
+                    break
                 deadline = now + case_timeout if case_timeout is not None else None
                 outstanding[future] = (spec, deadline)
+                running_alone = spec in suspects
             if not outstanding:
-                if retry_ready:  # only backoff timers left: sleep them out
+                if retry_ready and not (queue or solo):
+                    # Only backoff timers left: sleep them out.
                     time.sleep(
                         max(0.0, min(retry_ready.values()) - time.monotonic())
                     )
@@ -779,14 +813,13 @@ def _run_pool(
             done, _ = wait(
                 set(outstanding), timeout=timeout, return_when=FIRST_COMPLETED
             )
-            broken = False
+            in_flight: list[str] = []
             for future in done:
                 spec, _deadline = outstanding.pop(future)
                 try:
                     result = future.result()
                 except BrokenProcessPool:
-                    broken = True
-                    _attempt_failed(spec, RuntimeError(_WORKER_DIED))
+                    in_flight.append(spec)
                 except SweepInterrupted:
                     raise
                 except ReproError as error:
@@ -795,8 +828,11 @@ def _run_pool(
                     _attempt_failed(spec, error)
                 else:
                     record(*result)
-            if broken:
-                respawn(_WORKER_DIED)
+            if in_flight:
+                # Every case still outstanding was in flight too.
+                in_flight.extend(spec for spec, _deadline in outstanding.values())
+                outstanding.clear()
+                pool_broke(in_flight)
                 continue
             now = time.monotonic()
             expired = [

@@ -37,6 +37,11 @@ Four things make it fast:
   in task order — keeping the result bit-identical to a serial run for any
   worker count.
 
+:meth:`FastPropagationEngine.rerun` is the incremental form of a run: after
+origins change their export policy, it recompiles only those origins' seed
+plans and re-propagates only their prefixes, reusing every other prefix's
+routes from the previous result.  The persistence timeline is built on it.
+
 The ORIGIN attribute is constant (``originate`` always emits ``Origin.IGP``
 and no policy knob rewrites it), so it is excluded from the decision key and
 the re-announcement signature; the legacy engine relies on the same
@@ -45,8 +50,10 @@ invariant.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import deque
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
@@ -765,7 +772,8 @@ class FastPropagationEngine:
             process pool on the zero-copy path — the compiled topology is
             published to shared memory (or attached from a cached artifact
             file) and workers attach by name — then merges the lowered
-            shard results deterministically in task order.
+            shard results deterministically in task order.  :meth:`rerun`
+            is always serial, and so is every :meth:`run` after one.
         compiled: an already-compiled topology to reuse (skips
             compilation); either a :class:`CompiledTopology` or a
             :class:`SharedTopologyView` attached from the store, in which
@@ -807,6 +815,14 @@ class FastPropagationEngine:
         self._compile_seconds = 0.0 if compiled is not None else perf_counter() - started
         self.last_run_phases: dict[str, float] = {}
         self._core: _Core | None = None
+        # Seed plans recompiled by `rerun`, shadowing `compiled.seeds`: the
+        # compiled topology may be shared or store-backed, so it is never
+        # patched in place.  Their community ids live in the local core.
+        self._seed_overlay: dict[tuple[int, Prefix], SeedPlan] = {}
+        # Per-task message counts of the last run/rerun, in `origin_tasks`
+        # order, and a weak reference to the result they describe.
+        self._task_messages: array | None = None
+        self._last_result: weakref.ref | None = None
 
     # -- public API ----------------------------------------------------------
 
@@ -817,14 +833,17 @@ class FastPropagationEngine:
             result.tables[asn] = LocRib(owner=asn, decision=self.decision)
         topology = self.compiled
         tasks = topology.origin_tasks
-        if self.workers == 1 or len(tasks) <= 1:
+        messages = array("q", [0]) * len(tasks)
+        # Overlay seed plans exist only in the local core's id space, so an
+        # engine that has rerun propagates serially from then on.
+        if self.workers == 1 or len(tasks) <= 1 or self._seed_overlay:
             started = perf_counter()
             core = self._local_core()
-            seeds = topology.seeds
-            for origin_idx, prefix in tasks:
+            for task_index, (origin_idx, prefix) in enumerate(tasks):
                 processed, truncated = core.run_task(
-                    origin_idx, prefix, seeds[(origin_idx, prefix)]
+                    origin_idx, prefix, self._seed_of(origin_idx, prefix)
                 )
+                messages[task_index] = processed
                 result.message_count += processed
                 if truncated:
                     result.truncated_prefixes.append(prefix)
@@ -836,7 +855,7 @@ class FastPropagationEngine:
                 "compute": perf_counter() - started,
                 "merge": 0.0,
             }
-            return result
+            return self._remember(result, messages)
 
         # Zero-copy fan-out: publish once (unless the topology is already an
         # attached artifact view), ship only (descriptor, range) per shard,
@@ -877,6 +896,7 @@ class FastPropagationEngine:
             route_of = merger.route_of
             cursor = 0
             for task_index, processed, truncated, table_meta in meta:
+                messages[task_index] = processed
                 result.message_count += processed
                 prefix = tasks[task_index][1]
                 if truncated:
@@ -905,7 +925,100 @@ class FastPropagationEngine:
             "compute": compute_seconds,
             "merge": perf_counter() - started,
         }
-        return result
+        return self._remember(result, messages)
+
+    def rerun(
+        self, previous: SimulationResult, changed_origins: Iterable[ASN]
+    ) -> SimulationResult:
+        """Re-propagate only the prefixes of origins whose policy changed.
+
+        The incremental form of :meth:`run` for an assignment mutated in
+        place since the last run: the seed plans of ``changed_origins``'
+        prefixes are recompiled against the engine's current
+        ``assignment`` and only those prefixes are propagated again —
+        serially in the local core, whatever ``workers`` is.  Every other
+        prefix reuses ``previous``'s (frozen) routes in a fresh entry.  The
+        result equals a fresh ``run()`` on the mutated assignment: same
+        tables, message count and truncated prefixes.
+
+        Only *origin export* changes are supported (announcement pattern
+        per prefix); import policies, export templates and the topology are
+        taken as compiled.
+
+        Args:
+            previous: the result of this engine's most recent :meth:`run`
+                or :meth:`rerun`.
+            changed_origins: origins whose export policy changed since.
+
+        Raises:
+            SimulationError: if ``previous`` is not the engine's most recent
+                result (or the engine has not run yet), or a changed origin
+                is not in the graph.
+        """
+        messages = self._task_messages
+        if (
+            messages is None
+            or self._last_result is None
+            or self._last_result() is not previous
+        ):
+            raise SimulationError(
+                "rerun needs the result of this engine's most recent run or rerun"
+            )
+        started = perf_counter()
+        topology = self.compiled
+        core = self._local_core()
+        stale: set[Prefix] = set()
+        for origin in changed_origins:
+            origin_idx = topology.index_of.get(origin)
+            if origin_idx is None:
+                raise SimulationError(f"origin AS{origin} is not in the graph")
+            for prefix in self.internet.prefixes_of(origin):
+                self._seed_overlay[(origin_idx, prefix)] = self._compile_seed(
+                    origin, prefix, core
+                )
+                stale.add(prefix)
+        tasks = topology.origin_tasks
+
+        result = SimulationResult(internet=self.internet, assignment=self.assignment)
+        tables = result.tables
+        for asn in self.observed_ases:
+            tables[asn] = LocRib(owner=asn, decision=self.decision)
+        previous_tables = [
+            (previous.tables[asn], tables[asn]) for asn in self.observed_ases
+        ]
+        copied: set[Prefix] = set()
+        for task_index, (origin_idx, prefix) in enumerate(tasks):
+            if prefix in stale:
+                processed, _ = core.run_task(
+                    origin_idx, prefix, self._seed_of(origin_idx, prefix)
+                )
+                messages[task_index] = processed
+                for asn, (routes, best) in core.observed_routes(prefix).items():
+                    tables[asn].load_entry(prefix, routes, best)
+            elif prefix not in copied:
+                # Every task of an unchanged prefix is unchanged, so its
+                # merged entry is copied once, at the prefix's first task.
+                copied.add(prefix)
+                for old_table, table in previous_tables:
+                    entry = old_table.entry(prefix)
+                    if entry is not None:
+                        table.load_entry(prefix, entry.routes, entry.best)
+        # `run_task` stops one message past the budget exactly when it
+        # truncates, so the per-task counts alone reproduce both totals.
+        budget = self.message_budget_per_prefix
+        result.message_count = sum(messages)
+        result.truncated_prefixes = [
+            prefix
+            for (_, prefix), count in zip(tasks, messages)
+            if count > budget
+        ]
+        self.last_run_phases = {
+            "compile": 0.0,
+            "publish": 0.0,
+            "compute": perf_counter() - started,
+            "merge": 0.0,
+        }
+        return self._remember(result, messages)
 
     def run_prefix(self, prefix: Prefix, origin: ASN) -> PrefixRun:
         """Propagate a single prefix and return the full per-AS state.
@@ -917,9 +1030,9 @@ class FastPropagationEngine:
         if origin_idx is None:
             raise SimulationError(f"origin AS{origin} is not in the graph")
         core = self._local_core()
-        seed = topology.seeds.get((origin_idx, prefix))
+        seed = self._seed_of(origin_idx, prefix)
         if seed is None:
-            seed = self._adhoc_seed(origin, prefix, core)
+            seed = self._compile_seed(origin, prefix, core)
         processed, truncated = core.run_task(origin_idx, prefix, seed)
         states: dict[ASN, PrefixState] = {}
         asns = topology.asns
@@ -941,8 +1054,24 @@ class FastPropagationEngine:
             self._core = _Core(self.compiled, self.message_budget_per_prefix)
         return self._core
 
-    def _adhoc_seed(self, origin: ASN, prefix: Prefix, core: _Core) -> SeedPlan:
-        """Seed plan for a (prefix, origin) pair outside the compiled set."""
+    def _seed_of(self, origin_idx: int, prefix: Prefix) -> SeedPlan | None:
+        """The current seed plan of one task (a rerun overlay wins)."""
+        seed = self._seed_overlay.get((origin_idx, prefix))
+        return seed if seed is not None else self.compiled.seeds.get((origin_idx, prefix))
+
+    def _remember(self, result: SimulationResult, messages: array) -> SimulationResult:
+        """Record ``result`` as the base the next :meth:`rerun` starts from."""
+        self._task_messages = messages
+        self._last_result = weakref.ref(result)
+        return result
+
+    def _compile_seed(self, origin: ASN, prefix: Prefix, core: _Core) -> SeedPlan:
+        """A seed plan compiled against the engine's current assignment.
+
+        Used for (prefix, origin) pairs outside the compiled set and for the
+        changed origins of a rerun.  Scoped markers are interned into the
+        local core's table, never into the (possibly shared) compiled one.
+        """
         graph = self.graph
         by_rel: dict[int, list[ASN]] = {code: [] for code in range(4)}
         rel_code = {

@@ -6,11 +6,17 @@ Between snapshots, operators occasionally change their export policies —
 switching announcements between providers, adding or removing selective
 announcement — which turns SA prefixes into non-SA prefixes and vice versa.
 
-:class:`Timeline` re-runs the propagation engine once per snapshot under a
-slowly churning policy assignment and records, for each snapshot, the tables
-at the studied providers.  The churn operates only on the origin-level export
-policies; topology and import policies stay fixed, matching the paper's
-premise that what changes day to day is the announcement pattern.
+:class:`Timeline` simulates one snapshot per step under a slowly churning
+policy assignment and records, for each snapshot, the tables at the studied
+providers.  The churn operates only on the origin-level export policies;
+topology and import policies stay fixed, matching the paper's premise that
+what changes day to day is the announcement pattern.
+
+That premise is also what makes the timeline cheap: the topology is compiled
+once, snapshot 0 is a full fast-engine run, and every later snapshot is a
+:meth:`~repro.simulation.fastpath.engine.FastPropagationEngine.rerun` that
+re-propagates only the prefixes of the origins the churn step touched.  Each
+snapshot equals a full recomputation (the legacy engine is the test oracle).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from repro.exceptions import SimulationError
 from repro.net.asn import ASN
 from repro.simulation.fastpath import FastPropagationEngine
 from repro.simulation.policies import PolicyAssignment
-from repro.simulation.propagation import PropagationEngine, SimulationResult
+from repro.simulation.propagation import SimulationResult
 from repro.topology.generator import SyntheticInternet
 
 
@@ -85,40 +91,27 @@ class Timeline:
         assignment: PolicyAssignment,
         observed_ases: list[ASN],
         parameters: TimelineParameters | None = None,
-        engine: str = "fast",
     ) -> None:
         self.internet = internet
         self.base_assignment = assignment
         self.observed_ases = observed_ases
         self.parameters = parameters or TimelineParameters()
         self.parameters.validate()
-        if engine not in ("fast", "legacy"):
-            raise SimulationError(
-                f"unknown propagation engine {engine!r}; known: fast, legacy"
-            )
-        self.engine = engine
 
     def run(self) -> list[Snapshot]:
         """Simulate every snapshot and return them in chronological order."""
         rng = random.Random(self.parameters.seed)
         assignment = copy.deepcopy(self.base_assignment)
-        snapshots: list[Snapshot] = []
-        for index in range(self.parameters.snapshot_count):
-            changed: set[ASN] = set()
-            if index > 0:
-                changed = self._churn(assignment, rng)
-            # The churn mutates export policies in place, so each snapshot
-            # compiles (or classifies) the assignment afresh; both engines
-            # produce identical snapshots.
-            if self.engine == "fast":
-                engine: PropagationEngine | FastPropagationEngine = FastPropagationEngine(
-                    self.internet, assignment, observed_ases=self.observed_ases
-                )
-            else:
-                engine = PropagationEngine(
-                    self.internet, assignment, observed_ases=self.observed_ases
-                )
-            result = engine.run()
+        # The churn mutates the engine's own assignment in place; each rerun
+        # recompiles the changed origins' seed plans against it.
+        engine = FastPropagationEngine(
+            self.internet, assignment, observed_ases=self.observed_ases
+        )
+        result = engine.run()
+        snapshots = [Snapshot(index=0, result=result)]
+        for index in range(1, self.parameters.snapshot_count):
+            changed = self._churn(assignment, rng)
+            result = engine.rerun(result, changed)
             snapshots.append(Snapshot(index=index, result=result, changed_origins=changed))
         return snapshots
 

@@ -14,11 +14,13 @@ from repro.core.atoms import PolicyAtom
 from repro.fuzz import ORACLES, OracleViolation, build_context
 from repro.fuzz.oracles import (
     check_atom_refinement,
+    check_rerun_equivalence,
     check_valley_free,
     valley_violations,
 )
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
+from repro.simulation.fastpath import FastPropagationEngine
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +134,27 @@ class TestAtomOracle:
         real_atoms = context.engine.atoms()
         with pytest.raises(OracleViolation, match="not a partition"):
             check_atom_refinement(_FakeAtomEngine(real_atoms[:-1]), collector)
+
+
+class TestRerunOracle:
+    def test_rerun_that_ignores_the_churn_is_caught(self, context, monkeypatch):
+        rerun = FastPropagationEngine.rerun
+
+        def stale_rerun(self, previous, changed_origins):
+            return rerun(self, previous, set())
+
+        monkeypatch.setattr(FastPropagationEngine, "rerun", stale_rerun)
+        with pytest.raises(OracleViolation, match="rerun-equivalence"):
+            check_rerun_equivalence(context.fast_result, context.seed)
+
+    def test_rerun_that_drops_the_message_count_is_caught(self, context, monkeypatch):
+        rerun = FastPropagationEngine.rerun
+
+        def miscounting_rerun(self, previous, changed_origins):
+            result = rerun(self, previous, changed_origins)
+            result.message_count += 1
+            return result
+
+        monkeypatch.setattr(FastPropagationEngine, "rerun", miscounting_rerun)
+        with pytest.raises(OracleViolation, match="message counts differ"):
+            check_rerun_equivalence(context.fast_result, context.seed)

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.session import Stage, StageCache, resolve_scenario
 from repro.session.sweep import normalize_error, run_sweep
 
 #: Two small, fast family cases; enough to exercise the pool paths.
@@ -150,6 +151,42 @@ class TestPoolRecovery:
             fault_plan=kill_plan(tmp_path, times=None, match="collector-size@0"),
             retries=1,
             retry_delay=0.01,
+        )
+        by_spec = {case.spec: case for case in report.cases}
+        assert by_spec["collector-size@0"].status == "quarantined"
+        assert by_spec["collector-size@1"].status in ("completed", "cached")
+
+    def test_innocent_case_in_flight_across_both_kills_completes(self, tmp_path):
+        # Every store access to collector-size@1's topology artifact
+        # sleeps, and a zero retry delay resubmits both cases together, so
+        # the innocent case is deterministically in flight while the
+        # poison case collector-size@0 is killed, on its first and on its
+        # second attempt.  Crashes that cannot be attributed charge nobody;
+        # the cases rerun alone, where only the poison case dies.
+        topology_key = (
+            resolve_scenario("collector-size@1")
+            .study(cache=StageCache())
+            .stage_key(Stage.TOPOLOGY)
+        )
+        plan = FaultPlan(
+            seed=0,
+            state_dir=str(tmp_path / "fault-state"),
+            rules=(
+                FaultRule("worker-kill", rate=1.0, times=None, match="collector-size@0"),
+                FaultRule(
+                    "latency", rate=1.0, times=None, match=f"topology/{topology_key}",
+                    param=0.5,
+                ),
+            ),
+        )
+        report = run_sweep(
+            CASES,
+            cache_dir=tmp_path / "cache",
+            experiments=EXPERIMENTS,
+            workers=2,
+            fault_plan=plan,
+            retries=1,
+            retry_delay=0.0,
         )
         by_spec = {case.spec: case for case in report.cases}
         assert by_spec["collector-size@0"].status == "quarantined"
